@@ -26,12 +26,15 @@
 // Instance bookkeeping is O(1) per tuple: no per-instance state is touched
 // on the hot path. Completed instances are discovered by walking a cursor
 // over the pane index (each instance is visited once), fired-flags are
-// materialized only for instances that actually fire and are purged with
-// the lateness horizon, and instances past the horizon are exactly the
-// ones WindowMachine would have purged.
+// materialized only for instances that actually fire — and only when
+// L > 0, the sole case a late update can consult them — and are purged
+// with the lateness horizon, and instances past the horizon are exactly
+// the ones WindowMachine would have purged. With L = 0, an instance that
+// is exactly one pane (g = WS) fires straight from that pane's cells.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -74,6 +77,7 @@ class SlicedEngine {
         geom_(PaneGeometry::of(spec)),
         key_fn_(std::move(key_fn)),
         policy_(std::move(policy)),
+        fire_from_pane_(geom_.width == spec_.size && spec_.lateness == 0),
         registry_(std::make_shared<EpochRegistry>()) {
     panes_.bind_registry(registry_);
   }
@@ -240,7 +244,7 @@ class SlicedEngine {
         const Timestamp first = spec_.first_instance(it->first);
         if (first > l) l = first;
         if (!spec_.closes(l, w)) break;
-        fire_instance(l, fire);
+        fire_instance(l, it, fire);
         l += spec_.advance;
       }
     }
@@ -261,7 +265,7 @@ class SlicedEngine {
         if (it == panes_.end()) break;
         const Timestamp first = spec_.first_instance(it->first);
         if (first > l) l = first;
-        fire_instance(l, fire);
+        fire_instance(l, it, fire);
         l += spec_.advance;
       }
     }
@@ -561,12 +565,26 @@ class SlicedEngine {
     have_cursor_ = true;
   }
 
-  /// Fires instance l for every key with data in it. The key-union over
+  /// Fires instance l for every key with data in it; `first_pane` is the
+  /// first pane at or after l (the walk's lower_bound). The key-union over
   /// the instance's panes is maintained as a sliding multiset across the
   /// (monotone) fire walk, so each pane's cells are scanned once per pass
   /// instead of once per overlapping instance — this is what keeps the
   /// whole advance path O(1) amortized per tuple.
-  void fire_instance(Timestamp l, const FireFn& fire) {
+  void fire_instance(Timestamp l, typename PaneMap::const_iterator first_pane,
+                     const FireFn& fire) {
+    if (fire_from_pane_) {
+      // The instance is exactly its own pane (g = WS: every tumbling
+      // window): that pane's cells are the key set, and each cell in hand
+      // is the whole instance for its key. first_pane->first == l here —
+      // with g = WS, a pane's earliest instance starts at the pane itself.
+      assert(first_pane->first == l);
+      for (const auto& [key, cell] : first_pane->second) {
+        ++fired_instances_;
+        fire(l, key, evaluate_pane(l, key, cell), false);
+      }
+      return;
+    }
     const Timestamp end = l + spec_.size;
     if (!union_valid_ || union_from_ > l || union_to_ > end ||
         union_to_ < l) {
@@ -586,16 +604,31 @@ class SlicedEngine {
       union_to_ += geom_.width;
     }
     if (active_keys_.empty()) return;
-    auto& flags = fired_[l];
+    // Fired flags gate late updates only; with L = 0 nothing is admitted
+    // into a closed instance, so no flag is ever read (DESIGN.md § 9).
+    auto* flags = spec_.lateness > 0 ? &fired_[l] : nullptr;
     for (const auto& [key, live_cells] : active_keys_) {
-      bool& fired = flags[key];
-      if (fired) continue;
-      fired = true;
+      if (flags != nullptr) {
+        bool& fired = (*flags)[key];
+        if (fired) continue;
+        fired = true;
+      }
       ++fired_instances_;
       fire(l, key,
            policy_.evaluate(panes_, spec_, geom_, l, key,
                             /*sequential=*/true),
            false);
+    }
+  }
+
+  /// Sequential evaluation of a one-pane instance from the cell in hand,
+  /// for policies that can (ReplayPolicy); the rest evaluate as usual.
+  decltype(auto) evaluate_pane(Timestamp l, const Key& key, const Cell& cell) {
+    if constexpr (requires { policy_.evaluate_cell(cell); }) {
+      return policy_.evaluate_cell(cell);
+    } else {
+      return policy_.evaluate(panes_, spec_, geom_, l, key,
+                              /*sequential=*/true);
     }
   }
 
@@ -648,8 +681,15 @@ class SlicedEngine {
   PaneMap panes_;
   /// Fired flags per (instance, key), materialized at fire time only and
   /// kept until the instance's lateness horizon passes (they gate late
-  /// update re-fires, mirroring WindowMachine's Bucket::fired).
+  /// update re-fires, mirroring WindowMachine's Bucket::fired). Never
+  /// written when L = 0: every fired instance is purged by the advance
+  /// that fires it, so the flag section of a snapshot is empty anyway.
   std::map<Timestamp, std::unordered_map<Key, bool>> fired_;
+  /// g = WS and L = 0: each instance is exactly one pane and needs no
+  /// fired flags, so fire_instance reads the keys off that pane. (With
+  /// L > 0 the flags are written in key-union order, which save() keeps;
+  /// firing in pane order would reorder the snapshot's flag section.)
+  bool fire_from_pane_;
   /// Sliding key-union cache for fire_instance: per key, the number of
   /// live (pane, key) cells in panes [union_from_, union_to_). Rebuilt
   /// from the panes whenever the walk jumps backwards; never serialized.
@@ -722,6 +762,16 @@ class ReplayPolicy {
     result_.clear();
     result_.reserve(scratch_.size());
     for (const Entry* e : scratch_) result_.push_back(e->t);
+    return result_;
+  }
+
+  /// A one-pane instance: the cell is the whole window for its key, and
+  /// its entries are already in arrival order (absorb appends with
+  /// increasing seq, load_cell keeps the saved order) — no sort needed.
+  const Result& evaluate_cell(const Cell& c) {
+    result_.clear();
+    result_.reserve(c.entries.size());
+    for (const Entry& e : c.entries) result_.push_back(e.t);
     return result_;
   }
 

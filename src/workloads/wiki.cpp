@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <unordered_map>
+#include <span>
+#include <string_view>
 
 namespace aggspes::wiki {
 namespace {
@@ -83,41 +84,111 @@ WikiEdit WikiGenerator::make(std::uint64_t i) const {
   return e;
 }
 
-std::vector<std::string> tokenize(const std::string& text) {
-  std::vector<std::string> words;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find(' ', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) words.push_back(text.substr(start, end - start));
-    start = end + 1;
+namespace {
+
+/// Counts the space-separated words of one text in a single pass over its
+/// characters. Words are string_views into the text; the table and the
+/// distinct-word list are per-thread scratch that only ever grows, so a
+/// call allocates nothing once the thread has seen a text that long.
+/// Open addressing with linear probing keeps every probe O(1) expected, so
+/// the pass stays O(n) however long the text is.
+class WordCounter {
+ public:
+  struct Word {
+    std::string_view text;
+    std::uint32_t count;
+    std::uint32_t first;  ///< first-seen rank: the tie-break
+    std::uint32_t slot;   ///< its table slot, emptied by the next count()
+  };
+
+  /// Distinct words of `text` in first-seen order, with their counts.
+  /// Valid until the next count().
+  std::vector<Word>& count(std::string_view text) {
+    clear();
+    // A text of n characters holds at most n / 2 + 1 words; twice that
+    // many slots keeps the load factor at or below one half.
+    const std::size_t need = text.size() + 2;
+    if (slots_.size() < need) {
+      std::size_t cap = 16;
+      while (cap < need) cap <<= 1;
+      slots_.assign(cap, kEmpty);
+    }
+    const std::size_t mask = slots_.size() - 1;
+    const char* const data = text.data();
+    const std::size_t n = text.size();
+    std::size_t i = 0;
+    while (i < n) {
+      if (data[i] == ' ') {
+        ++i;
+        continue;
+      }
+      const std::size_t start = i;
+      std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+      for (; i < n && data[i] != ' '; ++i) {
+        h = (h ^ static_cast<unsigned char>(data[i])) * 0x100000001b3ULL;
+      }
+      const std::string_view w(data + start, i - start);
+      std::size_t s = static_cast<std::size_t>(h ^ (h >> 29)) & mask;
+      while (true) {
+        const std::uint32_t at = slots_[s];
+        if (at == kEmpty) {
+          slots_[s] = static_cast<std::uint32_t>(words_.size());
+          words_.push_back({w, 1, static_cast<std::uint32_t>(words_.size()),
+                            static_cast<std::uint32_t>(s)});
+          break;
+        }
+        if (words_[at].text == w) {
+          ++words_[at].count;
+          break;
+        }
+        s = (s + 1) & mask;
+      }
+    }
+    return words_;
   }
-  return words;
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  void clear() {
+    for (const Word& w : words_) slots_[w.slot] = kEmpty;
+    words_.clear();
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::vector<Word> words_;
+};
+
+/// The min(k, distinct) most frequent words of `text`, most frequent first
+/// (ties: first seen). Views into the calling thread's counter: valid until
+/// its next call.
+std::span<const WordCounter::Word> rank_words(const std::string& text,
+                                              int k) {
+  thread_local WordCounter counter;
+  auto& words = counter.count(text);
+  const auto n = static_cast<std::ptrdiff_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(k), words.size()));
+  std::partial_sort(words.begin(), words.begin() + n, words.end(),
+                    [](const WordCounter::Word& a, const WordCounter::Word& b) {
+                      return a.count != b.count ? a.count > b.count
+                                                : a.first < b.first;
+                    });
+  return {words.data(), static_cast<std::size_t>(n)};
 }
 
+}  // namespace
+
 std::string most_frequent_word(const std::string& text) {
-  auto top = top_k_words(text, 1);
-  return top.empty() ? std::string{} : top.front();
+  const auto top = rank_words(text, 1);
+  return top.empty() ? std::string{} : std::string(top.front().text);
 }
 
 std::vector<std::string> top_k_words(const std::string& text, int k) {
-  const auto words = tokenize(text);
-  std::unordered_map<std::string, int> counts;
-  std::vector<const std::string*> order;  // first-seen order for tie-breaks
-  counts.reserve(words.size() * 2);
-  for (const auto& w : words) {
-    if (++counts[w] == 1) order.push_back(&w);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const std::string* a, const std::string* b) {
-                     return counts[*a] > counts[*b];
-                   });
-  std::vector<std::string> top;
-  const auto n = std::min<std::size_t>(static_cast<std::size_t>(k),
-                                       order.size());
-  top.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) top.push_back(*order[i]);
-  return top;
+  const auto top = rank_words(text, k);
+  std::vector<std::string> out;
+  out.reserve(top.size());
+  for (const auto& w : top) out.emplace_back(w.text);
+  return out;
 }
 
 int word_count(const std::string& text) {
