@@ -12,7 +12,7 @@
 // health() wait-free on their hot paths.
 //
 // Degradation — Shedder. A pluggable ShedPolicy applied at admission edges
-// (the source's emit loop, WindowMachine/SlicedEngine::add):
+// (the source's emit loop, WindowMachine::add and the pane engine's add):
 //   * none              — never sheds; byte-identical to a build without
 //                         overload control.
 //   * random-p          — sheds each tuple with probability p(health),

@@ -245,7 +245,7 @@ class CowPaneMap {
   std::uint64_t cow_clones_{0};
 };
 
-/// Freezes an engine (SlicedEngine or SharedLattice) into a shared
+/// Freezes a pane engine (pane_engine.hpp, any query count) into a shared
 /// immutable epoch. The deleter releases the epoch (unpin +
 /// retired-version collect) when the last holder — the async serialize
 /// job and any StateQueryHub snapshot — lets go, so a long-held query

@@ -179,7 +179,7 @@ class MonoidAggregateOp final : public UnaryNode<In, Out> {
   void publish_cut(std::shared_ptr<const typename Machine::Frozen> frozen,
                    std::uint64_t checkpoint_id) {
     if constexpr (requires(const typename Machine::Frozen& f, const Key& k) {
-                    f.fold(Timestamp{0}, k);
+                    f.fold(0, Timestamp{0}, k);
                   }) {
       using Hub = StateQueryHub<Key, Agg>;
       auto s = std::make_shared<typename Hub::Snapshot>();
@@ -188,16 +188,16 @@ class MonoidAggregateOp final : public UnaryNode<In, Out> {
       s->watermark = this->watermark();
       s->point = [frozen](const Key& key, Timestamp l)
           -> std::optional<WindowAggregate<Agg>> {
-        WindowAggregate<Agg> wa = frozen->fold(l, key);
+        WindowAggregate<Agg> wa = frozen->fold(0, l, key);
         if (wa.count == 0) return std::nullopt;
         return wa;
       };
       s->range = [frozen](const Key& key, Timestamp from, Timestamp to) {
         std::vector<std::pair<Timestamp, WindowAggregate<Agg>>> out;
-        const Timestamp adv = frozen->spec.advance;
+        const Timestamp adv = frozen->spec().advance;
         for (Timestamp l = floor_div(from + adv - 1, adv) * adv; l < to;
              l += adv) {
-          WindowAggregate<Agg> wa = frozen->fold(l, key);
+          WindowAggregate<Agg> wa = frozen->fold(0, l, key);
           if (wa.count != 0) out.emplace_back(l, std::move(wa));
         }
         return out;

@@ -91,7 +91,7 @@ RunResult run_multiquery(const RunConfig& cfg,
   r.backend = "monoid-lattice";
   r.queries = static_cast<int>(n_queries);
   r.peak_stored = op.lattice().peak_occupancy();
-  r.peak_panes = op.lattice().open_panes();
+  r.peak_panes = op.lattice().peak_panes();
   for (std::size_t q = 0; q < n_queries; ++q) {
     const int qi = static_cast<int>(q);
     QueryDiag d;

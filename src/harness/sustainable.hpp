@@ -581,8 +581,9 @@ RunResult run_fm_t(Impl impl, const RunConfig& cfg,
       auto* m = &op.embed().machine();
       m->reset_diagnostics();
       // § 10 rider: shed at the Embed — the machine's add() consults the
-      // shedder after transport, before lift (see WindowMachine::add /
-      // SlicedEngine::add; the block path admits per tuple identically).
+      // shedder after transport, before lift (see WindowMachine::add and
+      // the pane engine's add; its block path admits per tuple
+      // identically).
       if (embed_shed && shedder) m->set_shedder(&*shedder);
       collect = [m](RunResult& r) {
         r.peak_stored = m->peak_occupancy();

@@ -8,6 +8,10 @@
 // be counter-identical too. Aggregates are compared as raw bit patterns,
 // so a -0.0/+0.0 or reassociation drift in a double sum fails the suite.
 //
+// The shared lattice — the same engine serving Q queries — is held to the
+// same bar at Q = 1 and Q = 16: byte-identical fires, per-query dropped /
+// late / shed counters, and an identical shedder decision record.
+//
 // Also pins the kernel legality story (satellite checks): the
 // kHasBatchAbsorb trait is true exactly for the monoid FIFO family (the
 // replay policy and the out-of-order finger tree have no absorb_run and
@@ -16,10 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -30,6 +37,7 @@
 #include "core/swa/finger_tree.hpp"
 #include "core/swa/monoid.hpp"
 #include "core/swa/monoid_machine.hpp"
+#include "core/swa/shared_lattice.hpp"
 #include "core/swa/sliced_machine.hpp"
 
 namespace aggspes {
@@ -295,7 +303,11 @@ TEST(BatchDifferential, UntaggedNonCommutativeMonoidStaysScalarAndMatches) {
   // kernel or reorder shows up as a value mismatch.
   Monoid<int, long long> m{
       0, [](const int& v) { return static_cast<long long>(v); },
-      [](const long long& a, const long long& b) { return a * 31 + b; }};
+      [](const long long& a, const long long& b) {
+        // Wrapping arithmetic in uint64: signed overflow would be UB.
+        return static_cast<long long>(static_cast<std::uint64_t>(a) * 31 +
+                                      static_cast<std::uint64_t>(b));
+      }};
   ASSERT_EQ(m.kind, MonoidKind::kGeneric);
   ASSERT_FALSE(m.commutative);
   check_both_policies(m, "untagged", false);
@@ -307,6 +319,175 @@ TEST(BatchDifferential, ShedderDecisionStreamIdenticalUnderBatching) {
   // shed/admitted counter and every output — is identical.
   check_both_policies(swa::sum_monoid<long long>(), "sum<i64>+shed", true);
   check_both_policies(swa::sum_monoid<double>(), "sum<f64>+shed", true);
+}
+
+// --- The shared lattice: the same engine at Q >= 1 ----------------------
+
+/// Sixteen specs with one shared pane width of 2: sliding, tumbling with
+/// L = 0 (one-pane fires, no fired flags), hopping with WS < WA gaps, and
+/// lateness from 0 to 9.
+std::vector<WindowSpec> lattice_specs() {
+  return {
+      {.advance = 4, .size = 12, .lateness = 5},
+      {.advance = 2, .size = 2, .lateness = 0},
+      {.advance = 6, .size = 2, .lateness = 3},
+      {.advance = 4, .size = 4, .lateness = 0},
+      {.advance = 2, .size = 10, .lateness = 9},
+      {.advance = 8, .size = 16, .lateness = 2},
+      {.advance = 6, .size = 6, .lateness = 4},
+      {.advance = 10, .size = 4, .lateness = 0},
+      {.advance = 2, .size = 6, .lateness = 1},
+      {.advance = 12, .size = 24, .lateness = 7},
+      {.advance = 4, .size = 8, .lateness = 0},
+      {.advance = 6, .size = 18, .lateness = 6},
+      {.advance = 2, .size = 4, .lateness = 8},
+      {.advance = 14, .size = 14, .lateness = 3},
+      {.advance = 8, .size = 2, .lateness = 5},
+      {.advance = 10, .size = 30, .lateness = 2},
+  };
+}
+
+/// (query, instance, key, agg bits, count, stamp, is_update).
+using LatticeFireRec = std::tuple<int, Timestamp, int, std::uint64_t,
+                                  std::uint64_t, std::uint64_t, bool>;
+
+struct LatticeOut {
+  std::vector<LatticeFireRec> fires;
+  /// Per query: dropped late, late updates, fired instances, shed.
+  std::vector<std::array<std::uint64_t, 4>> per_query;
+  Diag diag;
+  std::map<int, std::uint64_t> shed_by_query;
+  std::map<std::uint64_t, std::uint64_t> shed_by_key;
+
+  bool operator==(const LatticeOut&) const = default;
+};
+
+/// run_engine for a lattice over `specs`: the same script, scalar or in
+/// random sub-blocks, with the per-query counters and the shedder's full
+/// decision record (per query and per key) collected.
+template <typename Policy, typename In, typename Agg>
+LatticeOut run_lattice(const Monoid<In, Agg>& m,
+                       const std::vector<Ev<In>>& script,
+                       const std::vector<WindowSpec>& specs, int n_keys,
+                       unsigned block_rng_seed, const Shedder* shed_template,
+                       const OverloadMonitor* monitor) {
+  swa::SharedLattice<In, int, Policy> lat(
+      specs, [n_keys](const In& v) { return static_cast<int>(v) % n_keys; },
+      Policy(m));
+  std::optional<Shedder> shedder;
+  if (shed_template != nullptr) {
+    shedder.emplace(shed_template->config(), monitor);
+    lat.set_shedder(&*shedder);
+  }
+  LatticeOut out;
+  auto fire = [&](int q, Timestamp l, const int& key,
+                  const swa::WindowAggregate<Agg>& r, bool update) {
+    out.fires.emplace_back(q, l, key, bits_of(r.agg), r.count, r.stamp,
+                           update);
+  };
+  std::mt19937 brng(block_rng_seed);
+  std::uniform_int_distribution<std::size_t> bsz(1, 300);
+  std::vector<Tuple<In>> run;
+  Timestamp w = kMinTimestamp;
+  auto drain = [&] {
+    std::size_t i = 0;
+    while (i < run.size()) {
+      const std::size_t n = std::min(bsz(brng), run.size() - i);
+      lat.add_block(run.data() + i, n, w, fire);
+      i += n;
+    }
+    run.clear();
+  };
+  for (const Ev<In>& ev : script) {
+    if (ev.is_wm) {
+      if (block_rng_seed != 0) drain();
+      lat.advance(ev.w, fire);
+      w = ev.w;
+    } else if (block_rng_seed == 0) {
+      lat.add(ev.t, w, fire);
+    } else {
+      run.push_back(ev.t);
+    }
+  }
+  if (block_rng_seed != 0) drain();
+  for (int q = 0; q < lat.query_count(); ++q) {
+    out.per_query.push_back({lat.dropped_late(q), lat.late_updates(q),
+                             lat.fired_instances(q), lat.shed_for_query(q)});
+  }
+  // Per-query counters are in per_query; diag holds the shared ones.
+  out.diag.occupancy = lat.occupancy();
+  out.diag.peak_occupancy = lat.peak_occupancy();
+  out.diag.peak_panes = lat.peak_panes();
+  out.diag.shed = shedder ? shedder->shed() : 0;
+  out.diag.admitted = shedder ? shedder->admitted() : 0;
+  if (shedder) {
+    out.shed_by_query = shedder->shed_by_query();
+    out.shed_by_key = {shedder->shed_by_key().begin(),
+                       shedder->shed_by_key().end()};
+  }
+  lat.flush(fire);
+  std::stable_sort(out.fires.begin(), out.fires.end(),
+                   [](const LatticeFireRec& a, const LatticeFireRec& b) {
+                     return std::tie(std::get<0>(a), std::get<1>(a),
+                                     std::get<2>(a)) <
+                            std::tie(std::get<0>(b), std::get<1>(b),
+                                     std::get<2>(b));
+                   });
+  return out;
+}
+
+/// Batched-vs-scalar on the lattice at Q = 1 (three single specs) and
+/// Q = 16, with and without a seeded shedder, under the multi-query
+/// node's own policy (LatticeMonoidPolicy) and the two-stacks policy whose
+/// absorb_run takes the columnar path through the lattice.
+template <typename Policy, typename In, typename Agg>
+void check_lattice(const Monoid<In, Agg>& m, const char* what) {
+  const std::vector<WindowSpec> all = lattice_specs();
+  const std::vector<std::vector<WindowSpec>> lattices = {
+      {all[0]}, {all[1]}, {all[2]}, all};
+  const WindowSpec widest{.advance = 1, .size = 30, .lateness = 9};
+  OverloadMonitor monitor(OverloadThresholds{.pressured_occupancy = 0.0,
+                                             .overloaded_occupancy = 2.0});
+  monitor.observe({}, 0, kMinTimestamp);
+  for (const auto& specs : lattices) {
+    for (unsigned seed : {11u, 22u}) {
+      for (bool with_shedder : {false, true}) {
+        const auto script = random_script<In>(seed, 900, widest);
+        std::optional<Shedder> tmpl;
+        if (with_shedder) tmpl.emplace(shed_cfg(seed), &monitor);
+        const Shedder* st = tmpl ? &*tmpl : nullptr;
+        const OverloadMonitor* mon = tmpl ? &monitor : nullptr;
+        const LatticeOut scalar = run_lattice<Policy>(
+            m, script, specs, 3, /*block_rng_seed=*/0, st, mon);
+        const LatticeOut batch =
+            run_lattice<Policy>(m, script, specs, 3, seed + 1, st, mon);
+        SCOPED_TRACE(std::string(what) + " Q=" + std::to_string(specs.size()) +
+                     " seed " + std::to_string(seed) +
+                     (with_shedder ? " shed" : ""));
+        ASSERT_GT(scalar.fires.size(), 0u);
+        EXPECT_EQ(batch.fires, scalar.fires);
+        EXPECT_EQ(batch.per_query, scalar.per_query);
+        EXPECT_EQ(batch.diag, scalar.diag);
+        EXPECT_EQ(batch.shed_by_query, scalar.shed_by_query);
+        EXPECT_EQ(batch.shed_by_key, scalar.shed_by_key);
+        if (with_shedder) EXPECT_GT(scalar.diag.shed, 0u);
+      }
+    }
+  }
+}
+
+TEST(BatchDifferential, LatticeMonoidPolicyMatchesScalar) {
+  check_lattice<swa::LatticeMonoidPolicy<long long, long long, int>>(
+      swa::sum_monoid<long long>(), "lattice sum<i64>");
+  check_lattice<swa::LatticeMonoidPolicy<double, double, int>>(
+      swa::sum_monoid<double>(), "lattice sum<f64>");
+}
+
+TEST(BatchDifferential, LatticeColumnarPathMatchesScalar) {
+  check_lattice<swa::MonoidPolicy<long long, long long, int>>(
+      swa::sum_monoid<long long>(), "two-stacks lattice sum<i64>");
+  check_lattice<swa::MonoidPolicy<double, double, int>>(
+      swa::sum_monoid<double>(), "two-stacks lattice sum<f64>");
 }
 
 TEST(BatchKernels, FoldRunMatchesScalarFoldBitForBit) {

@@ -381,5 +381,17 @@ TEST(MultiQueryFuzz, DegenerateTumblingAndSamplingSpecs) {
   fuzz_shape("degenerate", degenerate_specs);
 }
 
+TEST(MultiQueryFuzz, OnePaneQueriesBesideOtherQueriesPanes) {
+  // Pane width 2 = WS for the first and last query, both with L = 0: they
+  // fire straight from pane l. The first samples (WA = 6), so panes 2 and
+  // 4 mod 6 lie in its gaps yet hold the other queries' tuples; its walk
+  // must still fire exactly pane l.
+  const std::vector<WindowSpec> specs = {
+      {6, 2, 0}, {2, 4, 3}, {4, 4, 0}, {2, 2, 0}};
+  for (unsigned seed : {21u, 22u, 23u}) {
+    check_lattice(specs, seed, "one-pane");
+  }
+}
+
 }  // namespace
 }  // namespace aggspes
