@@ -132,9 +132,10 @@ class PaneEngine {
   const Policy& policy() const { return policy_; }
 
   /// Whether the policy accepts batched same-pane tuple runs (absorb_run).
-  /// The monoid FIFO family does; ReplayPolicy — and holistic/order-
-  /// sensitive folds generally — deliberately does not, so add_block
-  /// degrades to per-tuple add() for them (DESIGN.md § 11/§ 16).
+  /// The monoid FIFO family and the lattice's monoid policy do;
+  /// ReplayPolicy — and holistic/order-sensitive folds generally —
+  /// deliberately does not, so add_block degrades to per-tuple add() for
+  /// them (DESIGN.md § 11/§ 16).
   static constexpr bool kHasBatchAbsorb =
       requires(Policy& p, const Key& k, Cell& c, const Tuple<In>* ts) {
         p.absorb_run(k, c, Timestamp{}, ts, std::size_t{}, std::uint64_t{});

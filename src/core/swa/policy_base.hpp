@@ -233,11 +233,11 @@ class FifoMonoidPolicy : public MonoidPolicyCore<In, Agg, Key> {
   }
 
   /// Batched absorb: folds a whole same-key, same-pane tuple run into one
-  /// cell with a single version-bump check. Only the monoid-family FIFO
-  /// policies expose this — ReplayPolicy (and holistic folds generally)
-  /// deliberately has no absorb_run, so the pane engine's add_block
-  /// detects its absence and keeps those on the scalar path (DESIGN.md
-  /// § 11/§ 16).
+  /// cell with a single version-bump check. The monoid-family FIFO
+  /// policies and LatticeMonoidPolicy expose this — ReplayPolicy (and
+  /// holistic folds generally) deliberately has no absorb_run, so the
+  /// pane engine's add_block detects its absence and keeps those on the
+  /// scalar path (DESIGN.md § 11/§ 16).
   void absorb_run(const Key& /*key*/, Cell& c, Timestamp pane_l,
                   const Tuple<In>* ts, std::size_t n, std::uint64_t /*seq0*/) {
     this->fold_run_into(c, ts, n);

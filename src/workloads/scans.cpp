@@ -121,7 +121,12 @@ std::vector<CartesianScan> split3(const CartesianScan& c) {
   return parts;
 }
 
-double sum_abs_diff(const Scan2D& a, const Scan2D& b) {
+// Cache-line aligned: this is the ahj join's f_P kernel, and the static
+// library holding it links after the benchmark's own objects, so without
+// a pinned start any change to the code linked ahead of it moves the loop
+// within its cache lines — measured at up to 35% of the join's throughput
+// with the join itself byte-identical.
+[[gnu::aligned(64)]] double sum_abs_diff(const Scan2D& a, const Scan2D& b) {
   const std::size_t n = std::min(a.dist.size(), b.dist.size());
   double sum = 0;
   for (std::size_t i = 0; i < n; ++i) {

@@ -13,9 +13,9 @@
 // late / shed counters, and an identical shedder decision record.
 //
 // Also pins the kernel legality story (satellite checks): the
-// kHasBatchAbsorb trait is true exactly for the monoid FIFO family (the
-// replay policy and the out-of-order finger tree have no absorb_run and
-// always run scalar), the stock arithmetic monoids carry their kind +
+// kHasBatchAbsorb trait is true exactly for the monoid FIFO family and the
+// lattice's monoid policy (the replay policy and the out-of-order finger
+// tree have no absorb_run and always run scalar), the stock arithmetic monoids carry their kind +
 // kCommutative tags, and untagged monoids never enter a kernel.
 #include <gtest/gtest.h>
 
@@ -553,13 +553,16 @@ TEST(BatchKernels, FoldRunMatchesScalarFoldBitForBit) {
 
 // --- Kernel legality traits (the satellite assertions) ----------------
 
-// The batched absorb exists exactly on the monoid FIFO family; replay
-// (holistic, order-sensitive materialization) and the finger tree (its
-// absorb rebalances a tree per tuple) stay scalar by construction.
+// The batched absorb exists exactly on the monoid FIFO family and the
+// lattice's monoid policy (a run is one cell fold plus one stale mark);
+// replay (holistic, order-sensitive materialization) and the finger tree
+// (its absorb rebalances a tree per tuple) stay scalar by construction.
 static_assert(swa::MonoidWindowMachine<int, long long, int>::kHasBatchAbsorb,
               "two-stacks must take the batched ingest path");
 static_assert(swa::DabaWindowMachine<int, long long, int>::kHasBatchAbsorb,
               "DABA must take the batched ingest path");
+static_assert(swa::MonoidLattice<int, long long, int>::kHasBatchAbsorb,
+              "the monoid lattice must take the batched ingest path");
 static_assert(!swa::SlicedWindowMachine<int, int>::kHasBatchAbsorb,
               "replay (holistic) must stay on the scalar path");
 static_assert(

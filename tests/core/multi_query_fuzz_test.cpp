@@ -10,7 +10,8 @@
 // lateness bookkeeping to each query's own scope.
 //
 // Coverage arithmetic: 4 shapes × Q ∈ {2, 16} × 5 seeds × 5 backends =
-// 200 lattice/backend combinations.
+// 200 lattice/backend combinations, plus the monoid lattice under a
+// per-key tree cache bound of 1 and 3 on three of the shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -166,7 +167,8 @@ std::vector<QueryOutput> shared_replay(const std::vector<Element<int>>& script,
 /// finger-tree range folds over the shared panes).
 std::vector<QueryOutput> shared_monoid(const std::vector<Element<int>>& script,
                                        const std::vector<WindowSpec>& specs,
-                                       int key_mod) {
+                                       int key_mod,
+                                       std::size_t max_cached_keys = 0) {
   Flow flow;
   auto& src = flow.add<ScriptSource<int>>(script);
   std::vector<MonoidQuery<int, int, int>> queries;
@@ -177,6 +179,7 @@ std::vector<QueryOutput> shared_monoid(const std::vector<Element<int>>& script,
   auto& op = flow.add<MultiQueryMonoidOp<int, int, int, int>>(
       std::move(queries), [key_mod](const int& v) { return v % key_mod; },
       swa::sum_monoid<int>());
+  op.lattice().policy().set_max_cached_keys(max_cached_keys);
   std::vector<CollectorSink<int>*> sinks;
   for (std::size_t q = 0; q < specs.size(); ++q) {
     sinks.push_back(&flow.add<CollectorSink<int>>());
@@ -186,6 +189,14 @@ std::vector<QueryOutput> shared_monoid(const std::vector<Element<int>>& script,
     flow.connect(op.out(static_cast<int>(q)), sinks[q]->in());
   }
   flow.run();
+  if (max_cached_keys > 0) {
+    // The peak counts a new key before the LRU evicts another for it.
+    const auto& policy = op.lattice().policy();
+    EXPECT_LE(policy.peak_cached_keys(), max_cached_keys + 1);
+    if (static_cast<std::size_t>(key_mod) > max_cached_keys) {
+      EXPECT_GT(policy.cache_evictions(), 0u);
+    }
+  }
   std::vector<QueryOutput> r;
   for (std::size_t q = 0; q < specs.size(); ++q) {
     const int qi = static_cast<int>(q);
@@ -240,9 +251,12 @@ QueryOutput run_oracle(Backend b, const std::vector<Element<int>>& script,
 
 /// One fuzz iteration: run the shared lattice once per mode, then for
 /// every backend compare each query against its dedicated oracle flow —
-/// multiset-identical output plus exact per-query lateness counters.
+/// multiset-identical output plus exact per-query lateness counters. A
+/// non-zero `max_cached_keys` bounds the monoid lattice's per-key tree
+/// cache (evictions, rebuilds and stale refreshes under the LRU) and
+/// checks only the monoid backends, the ones that lattice answers for.
 void check_lattice(const std::vector<WindowSpec>& specs, unsigned seed,
-                   const char* shape) {
+                   const char* shape, std::size_t max_cached_keys = 0) {
   const int key_mod = 1 + static_cast<int>(seed % 4);
   auto tuples = random_tuples(seed, 200, /*start=*/-50);
   Timestamp max_close = 0;
@@ -253,16 +267,20 @@ void check_lattice(const std::vector<WindowSpec>& specs, unsigned seed,
   const auto script =
       lateish_script(std::move(tuples), /*k=*/8, /*wm_every=*/7, flush, seed);
 
-  const auto replay = shared_replay(script, specs, key_mod);
-  const auto monoid = shared_monoid(script, specs, key_mod);
+  const auto replay = max_cached_keys == 0
+                          ? shared_replay(script, specs, key_mod)
+                          : std::vector<QueryOutput>{};
+  const auto monoid = shared_monoid(script, specs, key_mod, max_cached_keys);
 
   bool any_output = false;
   for (Backend b : kAllBackends) {
+    if (max_cached_keys > 0 && !is_monoid_backend(b)) continue;
     const auto& shared = is_monoid_backend(b) ? monoid : replay;
     for (std::size_t q = 0; q < specs.size(); ++q) {
       const QueryOutput oracle = run_oracle(b, script, specs[q], key_mod);
       const auto where = [&] {
         return std::string(shape) + " seed " + std::to_string(seed) +
+               " max_cached_keys " + std::to_string(max_cached_keys) +
                " backend " + backend_tag(b) + " query " + std::to_string(q) +
                " (WA=" + std::to_string(specs[q].advance) +
                " WS=" + std::to_string(specs[q].size) +
@@ -356,11 +374,12 @@ std::vector<WindowSpec> degenerate_specs(int q_count, std::mt19937& rng) {
 }
 
 template <typename SpecGen>
-void fuzz_shape(const char* shape, SpecGen gen) {
+void fuzz_shape(const char* shape, SpecGen gen,
+                std::size_t max_cached_keys = 0) {
   for (int q_count : {2, 16}) {
     for (unsigned seed : {11u, 12u, 13u, 14u, 15u}) {
       std::mt19937 rng(seed * 131 + static_cast<unsigned>(q_count));
-      check_lattice(gen(q_count, rng), seed, shape);
+      check_lattice(gen(q_count, rng), seed, shape, max_cached_keys);
     }
   }
 }
@@ -390,6 +409,17 @@ TEST(MultiQueryFuzz, OnePaneQueriesBesideOtherQueriesPanes) {
       {6, 2, 0}, {2, 4, 3}, {4, 4, 0}, {2, 2, 0}};
   for (unsigned seed : {21u, 22u, 23u}) {
     check_lattice(specs, seed, "one-pane");
+  }
+}
+
+TEST(MultiQueryFuzz, BoundedTreeCacheMatchesDedicatedFlows) {
+  // The monoid lattice under an LRU bound below the key count (up to 4
+  // keys per seed): trees are evicted with stale panes pending and rebuilt
+  // from the cells, interleaved with late re-fires and drops.
+  for (std::size_t bound : {1u, 3u}) {
+    fuzz_shape("nested", nested_specs, bound);
+    fuzz_shape("coprime", coprime_specs, bound);
+    fuzz_shape("degenerate", degenerate_specs, bound);
   }
 }
 
