@@ -5,6 +5,9 @@
 // oracle anchors both.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <random>
 #include <set>
 #include <tuple>
@@ -192,6 +195,23 @@ struct SweepCase {
   int keys;     // smaller = more skew per key
   int mod;      // predicate: (a.val + b.val) % mod != 0; bigger = more hits
 };
+
+// ctest names each case by its printed value. gtest's fallback prints the
+// object's raw bytes, and the padding after `seed` holds whatever the stack
+// held, so a case's name changed from run to run. Print the same bytes with
+// the padding zeroed: same format, stable names.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(SweepCase)] = {};
+  auto put = [&bytes](std::size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(SweepCase, seed), c.seed);
+  put(offsetof(SweepCase, wa), c.wa);
+  put(offsetof(SweepCase, ws), c.ws);
+  put(offsetof(SweepCase, keys), c.keys);
+  put(offsetof(SweepCase, mod), c.mod);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class JoinEquivalenceSweep : public ::testing::TestWithParam<SweepCase> {};
 
